@@ -16,6 +16,7 @@
 //!   (plus one frame) while the sort completes through disk runs.
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use bytes::Bytes;
@@ -122,8 +123,15 @@ pub struct SpillfmtBenchData {
     pub extsort: ExtSortProbe,
 }
 
+/// A spill directory unique to this call: concurrent runs in one process
+/// (the unit tests) must never share, or delete, each other's spill files.
 fn scratch_dir(label: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("dmpi-spillbench-{label}-{}", std::process::id()))
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "dmpi-spillbench-{label}-{}-{n}",
+        std::process::id()
+    ))
 }
 
 /// Deterministic record stream with a wide, collision-heavy key space.

@@ -7,12 +7,21 @@
 //! the O task keeps computing — the overlap the paper identifies as
 //! DataMPI's main advantage. In staged mode (the Hadoop-like ablation)
 //! everything is held until [`KvBuffer::finish`].
+//!
+//! With an O-side combiner installed, emits are not framed directly but
+//! staged per destination in a `Staged` window — an FNV key index over
+//! one contiguous byte arena — and key-folded through the combiner
+//! right before the window's frame is built.
+
+use std::ops::Range;
 
 use bytes::Bytes;
 
-use dmpi_common::group::group_hashed;
+use dmpi_common::group::GroupedValues;
+use dmpi_common::hashing::FnvHashMap;
 use dmpi_common::partition::{HashPartitioner, Partitioner};
 use dmpi_common::ser;
+use dmpi_common::varint;
 use dmpi_common::Record;
 
 use crate::checkpoint::CheckpointStore;
@@ -62,15 +71,134 @@ pub struct KvBuffer {
     tracer: Option<Tracer>,
     /// Largest single-partition buffer occupancy seen, bytes.
     hwm_bytes: usize,
-    /// O-side pre-aggregation: when set, emits are staged as decoded
-    /// records per destination and key-folded through this function
+    /// O-side pre-aggregation: when set, emits are staged per
+    /// destination (see [`Staged`]) and key-folded through this function
     /// right before their frame is built, so repeated keys collapse
     /// locally instead of crossing the wire.
     combiner: Option<Combiner>,
-    /// Per-destination staging for the combiner (empty when none).
-    pending: Vec<Vec<Record>>,
-    /// Framed-size accounting of `pending`, for threshold decisions.
-    pending_bytes: Vec<usize>,
+    /// Per-destination combiner staging (empty when none). Each window's
+    /// index, arena and value list are cleared, not dropped, after the
+    /// fold, so once they have grown only a key's first appearance in a
+    /// window allocates.
+    staged: Vec<Staged>,
+}
+
+/// End of a group's value chain in [`Staged::values`].
+const NONE: usize = usize::MAX;
+
+/// One destination's combiner window: every pair emitted to it since the
+/// last fold, held as key groups over a single byte arena.
+///
+/// A key is copied into the index and the arena on its first appearance
+/// only; values are appended in arrival order and threaded onto their
+/// group through `next` links.
+/// All offsets are `usize`, so a staged-mode window (a whole task's
+/// emissions, held until `finish`) may outgrow 4 GiB.
+#[derive(Default)]
+struct Staged {
+    /// Each distinct key's index in `groups`.
+    index: FnvHashMap<Box<[u8]>, usize>,
+    /// Distinct keys in first-appearance order.
+    groups: Vec<StagedGroup>,
+    /// Every staged value in arrival order.
+    values: Vec<StagedValue>,
+    /// Key and value bytes, contiguous.
+    arena: Vec<u8>,
+    /// Framed-size equivalent of the window (`varint(key_len) +
+    /// varint(value_len) + key + value` per pair) — the quantity the
+    /// flush threshold is compared against.
+    framed_bytes: usize,
+    /// The reused value list of the group handed to the combiner.
+    scratch: Vec<Bytes>,
+}
+
+/// A distinct key of a [`Staged`] window.
+struct StagedGroup {
+    key: Range<usize>,
+    /// First and last of the group's values (indices into `values`).
+    first: usize,
+    last: usize,
+}
+
+/// One staged value: its arena bytes and the next value of its group.
+struct StagedValue {
+    bytes: Range<usize>,
+    next: usize,
+}
+
+impl Staged {
+    /// Stages one pair: one index lookup and an append of the value
+    /// bytes; the key is copied (and allocated in the index) only the
+    /// first time it appears in this window.
+    fn push(&mut self, key: &[u8], value: &[u8]) {
+        self.framed_bytes += varint::encoded_len(key.len() as u64)
+            + varint::encoded_len(value.len() as u64)
+            + key.len()
+            + value.len();
+        let v = self.values.len();
+        let start = self.arena.len();
+        self.arena.extend_from_slice(value);
+        self.values.push(StagedValue {
+            bytes: start..self.arena.len(),
+            next: NONE,
+        });
+        match self.index.get(key) {
+            Some(&g) => {
+                let group = &mut self.groups[g];
+                self.values[group.last].next = v;
+                group.last = v;
+            }
+            None => {
+                self.index.insert(key.into(), self.groups.len());
+                let key_start = self.arena.len();
+                self.arena.extend_from_slice(key);
+                self.groups.push(StagedGroup {
+                    key: key_start..self.arena.len(),
+                    first: v,
+                    last: v,
+                });
+            }
+        }
+    }
+
+    /// Folds the window through `combiner` into `out` and resets it for
+    /// the next window, keeping the capacity of the index, arena and value
+    /// list. Returns the number of values folded.
+    ///
+    /// The arena is frozen into one shared [`Bytes`] so each group's key
+    /// and values reach the combiner as zero-copy windows of it. Groups
+    /// go in first-appearance order and values in arrival order — the
+    /// order `group_hashed` over the same pairs produces — so the framed
+    /// output is the same as grouping decoded records.
+    fn fold(&mut self, combiner: &Combiner, out: &mut dyn Collector) -> usize {
+        let frozen = Bytes::copy_from_slice(&self.arena);
+        let mut group = GroupedValues {
+            key: Bytes::new(),
+            values: std::mem::take(&mut self.scratch),
+        };
+        for g in &self.groups {
+            group.key = frozen.slice(g.key.clone());
+            group.values.clear();
+            let mut v = g.first;
+            while v != NONE {
+                group
+                    .values
+                    .push(frozen.slice(self.values[v].bytes.clone()));
+                v = self.values[v].next;
+            }
+            combiner.apply(&group, out);
+        }
+        // Hold no views of the frozen window past the fold.
+        group.values.clear();
+        self.scratch = group.values;
+        let folded = self.values.len();
+        self.index.clear();
+        self.groups.clear();
+        self.values.clear();
+        self.arena.clear();
+        self.framed_bytes = 0;
+        folded
+    }
 }
 
 /// Frames a combiner's output records straight into a destination
@@ -117,17 +245,14 @@ impl KvBuffer {
             tracer: None,
             hwm_bytes: 0,
             combiner: None,
-            pending: Vec::new(),
-            pending_bytes: Vec::new(),
+            staged: Vec::new(),
         }
     }
 
     /// Installs an O-side combiner; see
     /// [`JobConfig::with_combiner`](crate::JobConfig::with_combiner).
     pub fn set_combiner(&mut self, combiner: Combiner) {
-        let parts = self.buffers.len();
-        self.pending = (0..parts).map(|_| Vec::new()).collect();
-        self.pending_bytes = vec![0; parts];
+        self.staged = (0..self.buffers.len()).map(|_| Staged::default()).collect();
         self.combiner = Some(combiner);
     }
 
@@ -151,7 +276,7 @@ impl KvBuffer {
     pub fn emit(&mut self, record: &Record) {
         if self.combiner.is_some() {
             let p = self.partitioner.partition(&record.key);
-            self.stage(p, record.clone());
+            self.stage(p, &record.key, &record.value);
             return;
         }
         let p = self.partitioner.partition(&record.key);
@@ -169,7 +294,7 @@ impl KvBuffer {
     pub fn emit_kv(&mut self, key: &[u8], value: &[u8]) {
         if self.combiner.is_some() {
             let p = self.partitioner.partition(key);
-            self.stage(p, Record::new(key.to_vec(), value.to_vec()));
+            self.stage(p, key, value);
             return;
         }
         // Avoid the Bytes round trip on the hot path.
@@ -189,40 +314,35 @@ impl KvBuffer {
         }
     }
 
-    /// Combiner path of both emit surfaces: stage the decoded record and
-    /// fold + ship the destination once its staged (framed-size
-    /// equivalent) bytes cross the flush threshold.
-    fn stage(&mut self, p: usize, record: Record) {
+    /// Combiner path of both emit surfaces: stage the pair in
+    /// destination `p`'s window and fold + ship the window once its
+    /// framed-size equivalent crosses the flush threshold.
+    fn stage(&mut self, p: usize, key: &[u8], value: &[u8]) {
         self.stats.records += 1;
-        self.pending_bytes[p] += record.framed_len();
-        self.pending[p].push(record);
-        self.hwm_bytes = self.hwm_bytes.max(self.pending_bytes[p]);
-        if self.pipelined && self.pending_bytes[p] >= self.flush_threshold {
+        let staged = &mut self.staged[p];
+        staged.push(key, value);
+        self.hwm_bytes = self.hwm_bytes.max(staged.framed_bytes);
+        if self.pipelined && staged.framed_bytes >= self.flush_threshold {
             self.combine_partition(p);
             self.flush_partition(p);
             self.stats.early_flushes += 1;
         }
     }
 
-    /// Folds destination `p`'s staged records through the combiner into
-    /// its frame buffer: group by key (first-appearance order — the
-    /// A side regroups anyway) and let the combiner collapse each group.
+    /// Folds destination `p`'s staged window through the combiner into
+    /// its frame buffer: one group per distinct key, in first-appearance
+    /// order (the A side regroups anyway), values in arrival order.
     fn combine_partition(&mut self, p: usize) {
-        if self.pending[p].is_empty() {
+        let staged = &mut self.staged[p];
+        if staged.values.is_empty() {
             return;
         }
-        let combiner = self.combiner.clone().expect("stage requires a combiner");
-        let staged = std::mem::take(&mut self.pending[p]);
-        self.pending_bytes[p] = 0;
-        self.stats.combiner_records_in += staged.len() as u64;
-        let before = self.buffers[p].len();
-        let mut out = FrameCollector {
-            buf: &mut self.buffers[p],
-            records: 0,
-        };
-        for group in &group_hashed(staged) {
-            combiner.apply(group, &mut out);
-        }
+        let combiner = self.combiner.as_ref().expect("stage requires a combiner");
+        let buf = &mut self.buffers[p];
+        let before = buf.len();
+        let mut out = FrameCollector { buf, records: 0 };
+        let folded = staged.fold(combiner, &mut out);
+        self.stats.combiner_records_in += folded as u64;
         self.stats.combiner_records_out += out.records;
         self.stats.bytes += (self.buffers[p].len() - before) as u64;
     }
@@ -548,6 +668,192 @@ mod tests {
                 })
                 .collect();
             assert_eq!(da, db);
+        }
+    }
+
+    /// The staging this buffer used before the key index and arena:
+    /// decoded `Record`s per destination, grouped by `group_hashed` at
+    /// fold time and framed by the same [`FrameCollector`]. Kept as the
+    /// byte-identity reference for [`Staged`].
+    struct RecordStaging {
+        partitioner: HashPartitioner,
+        combiner: Combiner,
+        flush_threshold: usize,
+        pipelined: bool,
+        pending: Vec<Vec<Record>>,
+        pending_bytes: Vec<usize>,
+        buffers: Vec<Vec<u8>>,
+        /// Shipped frame payloads, per destination.
+        frames: Vec<Vec<Vec<u8>>>,
+        stats: BufferStats,
+        hwm_bytes: usize,
+    }
+
+    impl RecordStaging {
+        fn new(parts: usize, flush_threshold: usize, pipelined: bool, combiner: Combiner) -> Self {
+            RecordStaging {
+                partitioner: HashPartitioner::new(parts),
+                combiner,
+                flush_threshold,
+                pipelined,
+                pending: vec![Vec::new(); parts],
+                pending_bytes: vec![0; parts],
+                buffers: vec![Vec::new(); parts],
+                frames: vec![Vec::new(); parts],
+                stats: BufferStats::default(),
+                hwm_bytes: 0,
+            }
+        }
+
+        fn emit(&mut self, key: &[u8], value: &[u8]) {
+            let p = self.partitioner.partition(key);
+            let record = Record::new(key.to_vec(), value.to_vec());
+            self.stats.records += 1;
+            self.pending_bytes[p] += record.framed_len();
+            self.pending[p].push(record);
+            self.hwm_bytes = self.hwm_bytes.max(self.pending_bytes[p]);
+            if self.pipelined && self.pending_bytes[p] >= self.flush_threshold {
+                self.combine(p);
+                self.flush(p);
+                self.stats.early_flushes += 1;
+            }
+        }
+
+        fn combine(&mut self, p: usize) {
+            if self.pending[p].is_empty() {
+                return;
+            }
+            let staged = std::mem::take(&mut self.pending[p]);
+            self.pending_bytes[p] = 0;
+            self.stats.combiner_records_in += staged.len() as u64;
+            let before = self.buffers[p].len();
+            let mut out = FrameCollector {
+                buf: &mut self.buffers[p],
+                records: 0,
+            };
+            for group in &dmpi_common::group::group_hashed(staged) {
+                self.combiner.apply(group, &mut out);
+            }
+            self.stats.combiner_records_out += out.records;
+            self.stats.bytes += (self.buffers[p].len() - before) as u64;
+        }
+
+        fn flush(&mut self, p: usize) {
+            if !self.buffers[p].is_empty() {
+                self.frames[p].push(std::mem::take(&mut self.buffers[p]));
+                self.stats.frames += 1;
+            }
+        }
+
+        fn finish(mut self) -> (Vec<Vec<Vec<u8>>>, BufferStats, usize) {
+            for p in 0..self.buffers.len() {
+                self.combine(p);
+                self.flush(p);
+            }
+            (self.frames, self.stats, self.hwm_bytes)
+        }
+    }
+
+    /// An order-sensitive combiner with a variable output count: folds
+    /// each group to its length-prefixed value concatenation, emits a
+    /// second record for odd-sized groups and nothing for groups whose
+    /// key starts with `z`. Any staging difference — grouping, group
+    /// order, value order, window boundaries — changes the frames.
+    fn witness_combiner() -> Combiner {
+        Combiner::new(|g, out| {
+            if g.key.first() == Some(&b'z') {
+                return;
+            }
+            let mut folded = Vec::new();
+            for v in &g.values {
+                folded.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                folded.extend_from_slice(v);
+            }
+            out.collect(&g.key, &folded);
+            if g.len() % 2 == 1 {
+                out.collect(&g.key, &(g.len() as u64).to_le_bytes());
+            }
+        })
+    }
+
+    /// Seeded emissions: a small hot key set (heavy repetition), empty
+    /// keys and values, occasional keys up to 1 KiB and values long
+    /// enough for a multi-byte length prefix.
+    fn random_emissions(seed: u64, n: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let key = match rng.gen_range(0..10u32) {
+                    0 => Vec::new(),
+                    1 => {
+                        let len = rng.gen_range(1..=1024usize);
+                        let fill = rng.gen_range(0..4u8);
+                        vec![b'a' + fill; len]
+                    }
+                    2 => format!("z{}", rng.gen_range(0..8u32)).into_bytes(),
+                    _ => format!("k{}", rng.gen_range(0..24u32)).into_bytes(),
+                };
+                let len = match rng.gen_range(0..8u32) {
+                    0 => 0,
+                    // Two-byte varint length prefix.
+                    1 => rng.gen_range(128..400usize),
+                    _ => rng.gen_range(1..40usize),
+                };
+                let value = (0..len).map(|_| rng.gen::<u8>()).collect();
+                (key, value)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn arena_staging_ships_the_frames_of_record_staging() {
+        const PARTS: usize = 3;
+        let thresholds = [1, 64, 4096, crate::JobConfig::new(1).flush_threshold];
+        for seed in 0..4u64 {
+            let emissions = random_emissions(seed, 3000);
+            for &threshold in &thresholds {
+                for pipelined in [true, false] {
+                    for via_record in [false, true] {
+                        let mut reference =
+                            RecordStaging::new(PARTS, threshold, pipelined, witness_combiner());
+                        // Room for one frame per emit: nothing drains the
+                        // mailboxes until the buffer finishes.
+                        let mut net = Interconnect::with_capacity(PARTS, emissions.len() + 1);
+                        let rxs: Vec<_> = (0..PARTS).map(|r| net.take_receiver(r)).collect();
+                        let mut buf =
+                            KvBuffer::new(frame_senders(&net), 0, 0, threshold, pipelined);
+                        buf.set_combiner(witness_combiner());
+                        for (key, value) in &emissions {
+                            reference.emit(key, value);
+                            if via_record {
+                                buf.emit(&Record::new(key.clone(), value.clone()));
+                            } else {
+                                buf.emit_kv(key, value);
+                            }
+                        }
+                        let hwm = buf.hwm_bytes;
+                        let stats = buf.finish();
+                        let (want_frames, want_stats, want_hwm) = reference.finish();
+                        let case = format!(
+                            "seed {seed}, threshold {threshold}, pipelined {pipelined}, \
+                             emit(&Record) {via_record}"
+                        );
+                        assert_eq!(stats, want_stats, "{case}");
+                        assert_eq!(hwm, want_hwm, "{case}");
+                        for (p, rx) in rxs.iter().enumerate() {
+                            let got: Vec<Vec<u8>> = drain(rx)
+                                .iter()
+                                .filter_map(|f| match f {
+                                    Frame::Data { payload, .. } => Some(payload.to_vec()),
+                                    _ => None,
+                                })
+                                .collect();
+                            assert_eq!(got, want_frames[p], "{case}, partition {p}");
+                        }
+                    }
+                }
+            }
         }
     }
 }

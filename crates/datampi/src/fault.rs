@@ -38,8 +38,9 @@ pub enum FaultEvent {
         /// 0-based job attempt on which the error fires.
         on_attempt: u32,
     },
-    /// Rank `rank` dies at the start of its O phase on attempt
-    /// `on_attempt`.
+    /// Rank `rank` dies on attempt `on_attempt`, at a defined point: right
+    /// after its first O task has shipped its frames (or, if it gets no
+    /// task, when its O phase runs dry).
     RankPanic {
         /// Target worker rank.
         rank: usize,

@@ -653,25 +653,26 @@ where
                     .as_ref()
                     .map(|o| o.rank_tracer(rank as u32, attempt));
 
-                // Injected rank death: this rank does no O work at all —
-                // the `failed` flag short-circuits the loop below — but
-                // still sends its EOFs so peers tear down cleanly, like a
-                // real process whose sockets are closed by the OS.
-                if let Some(plan) = plan {
-                    if plan.rank_panics(rank, attempt) {
-                        if let Some(t) = &tracer {
-                            t.instant(
-                                SpanKind::Fault,
-                                vec![("cause", "injected rank death".into())],
-                            );
-                        }
-                        fail_with(Error::fault(
-                            FaultCause::new(FaultKind::RankDeath, "injected rank death")
-                                .rank(rank)
-                                .attempt(attempt),
-                        ));
+                // Injected rank death fires at a defined point of the O
+                // loop below: once this rank's first O task has shipped
+                // its frames, or when the rank runs out of tasks before
+                // getting one. The dead rank stops pulling work but still
+                // sends its EOFs so peers tear down cleanly, like a real
+                // process whose sockets are closed by the OS.
+                let dies = plan.is_some_and(|p| p.rank_panics(rank, attempt));
+                let die = || {
+                    if let Some(t) = &tracer {
+                        t.instant(
+                            SpanKind::Fault,
+                            vec![("cause", "injected rank death".into())],
+                        );
                     }
-                }
+                    fail_with(Error::fault(
+                        FaultCause::new(FaultKind::RankDeath, "injected rank death")
+                            .rank(rank)
+                            .attempt(attempt),
+                    ));
+                };
 
                 // The A-side ingest runs on its own thread from job start,
                 // concurrently with the O phase below. With bounded
@@ -720,10 +721,18 @@ where
 
                     // ---- O phase: pulls from the split dispenser ----
                     loop {
+                        if dies && stats.o_tasks_run + stats.o_tasks_recovered > 0 {
+                            die();
+                            break;
+                        }
                         if failed.load(Ordering::SeqCst) {
                             break;
                         }
                         let Some(dispensed) = queues.next(rank) else {
+                            if dies {
+                                die();
+                                break;
+                            }
                             // Nothing left to start. Without a progress
                             // board the rank is done; with one it idles
                             // until every task commits, speculating on

@@ -22,11 +22,17 @@ pub use dmpi_common::group::{
 /// An O-side pre-aggregation function ("combiner" in MapReduce terms),
 /// installed via [`JobConfig::with_combiner`](crate::JobConfig::with_combiner).
 ///
-/// When set, each O task's per-destination buffer is grouped by key and
-/// run through this function *before* the frame is shipped, so repeated
-/// keys collapse locally and fewer bytes cross the interconnect. The
-/// combiner sees the same `(group, collector)` shape as an A function
-/// and usually *is* the A function (e.g. WordCount's sum).
+/// When set, each O task stages its emits per destination and, at every
+/// flush (and at task finish), runs each staged key group through this
+/// function *before* the frame is shipped, so repeated keys collapse
+/// locally and fewer bytes cross the interconnect. The combiner sees the
+/// same `(group, collector)` shape as an A function and usually *is* the
+/// A function (e.g. WordCount's sum).
+///
+/// Groups arrive in first-appearance order within the flush window, each
+/// group's values in emission order. The key and values are zero-copy
+/// windows of one buffer holding the whole flush window, so a `Bytes`
+/// cloned out of the group keeps that buffer alive.
 ///
 /// # Correctness requirement
 ///

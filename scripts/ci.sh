@@ -20,6 +20,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== cargo test ==" >&2
 cargo test -q --workspace
 
+echo "== perfbench self-test ==" >&2
+# The benchmark is a package of its own, outside the workspace: its
+# tests include the reference check a runtime change (e.g. to the
+# combiner path) must keep passing.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== dmpirun multi-process smoke ==" >&2
 # Four real worker processes over TCP must reproduce the in-proc
 # runtime's output byte-for-byte.
