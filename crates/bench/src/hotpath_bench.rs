@@ -41,7 +41,8 @@ pub struct HotpathRun {
     pub backend: &'static str,
     /// `JobConfig::with_o_parallelism` setting.
     pub parallelism: usize,
-    /// `"std"` (comparison sort) or `"radix"` (MSD radix on key bytes).
+    /// `"std"` (comparison sort) or `"radix"` (LSD radix): how the A-side
+    /// store orders its key-prefix index.
     pub kernel: &'static str,
     /// Best wall time across trials.
     pub seconds: f64,

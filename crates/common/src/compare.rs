@@ -80,16 +80,22 @@ pub fn sort_records<C: RawComparator>(records: &mut [Record], cmp: &C) {
 /// pdqsort on tiny slices.
 const RADIX_FALLBACK_AT: usize = 64;
 
-/// Which kernel seals a sorted spill run. Both kernels produce the exact
-/// same order — `(key bytes lexicographic, then value)` — so the choice
-/// is purely a performance dimension (benchmarked by
-/// `figures hotpath-bench`).
+/// A sort kernel choice. Both kernels produce the exact same order —
+/// `(key bytes lexicographic, then value)` — so the choice is purely a
+/// performance dimension (benchmarked by `figures hotpath-bench`).
+///
+/// Inside the DataMPI A-side store (`datampi::store`) the kernel orders
+/// the forming run's 16-byte key-prefix entries, not records: `Radix` is
+/// a stable LSD radix over the 8 prefix bytes, `Comparison` a
+/// `sort_unstable_by_key` on (prefix, arrival position); one shared pass
+/// then compares full `(key, value)` bytes within equal prefixes.
+/// [`SortKernel::sort`] applies the kernel to decoded records directly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SortKernel {
     /// `sort_unstable_by` over the `(key, value)` comparator (pdqsort).
     Comparison,
     /// MSD radix on key bytes with the comparison fallback on small
-    /// partitions — the default production kernel.
+    /// partitions — the default kernel.
     #[default]
     Radix,
 }

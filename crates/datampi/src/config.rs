@@ -135,10 +135,12 @@ pub struct JobConfig {
     /// fan small inputs out wider (tests use this); the default is
     /// [`DEFAULT_O_CHUNK_BYTES`].
     pub o_chunk_bytes: usize,
-    /// Which kernel sorts spill runs on the A side —
-    /// [`SortKernel::Radix`] (default) or the comparison sort. Both yield
-    /// identical output order; this is a perf dimension benchmarked by
-    /// `figures hotpath-bench`.
+    /// Which kernel orders the A-side store's forming run by key prefix
+    /// before it seals or merges — [`SortKernel::Radix`] (default, a
+    /// stable LSD radix over the 8 prefix bytes) or a comparison sort on
+    /// the prefix. Both share the full-key tie pass and yield identical
+    /// output order; this is a perf dimension benchmarked by `figures
+    /// hotpath-bench`.
     pub sort_kernel: SortKernel,
     /// Straggler defense ([`crate::speculate`]): progress heartbeats,
     /// median-based outlier detection, and speculative duplicate attempts

@@ -37,6 +37,7 @@
 //! attempts without coordinator bookkeeping.
 
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -252,6 +253,12 @@ impl RunIndex {
 /// to the image. Records never straddle blocks. The per-block key range
 /// is tracked as a running min/max, so the index stays honest even for
 /// arrival-order (hashed-mode) runs.
+///
+/// [`push_framed`](Self::push_framed) is the one way records enter a
+/// block: it copies bytes that are already framed, so a caller holding
+/// framed records (the A-side store's forming run) seals without
+/// re-encoding varints or cloning key handles. [`push`](Self::push)
+/// frames a [`Record`] and delegates to it.
 pub struct RunWriter {
     block_bytes: usize,
     compress: bool,
@@ -259,10 +266,14 @@ pub struct RunWriter {
     raw: Vec<u8>,
     packed: Vec<u8>,
     compressor: lz4_flex::Compressor,
-    first_key: Bytes,
-    last_key: Bytes,
+    /// Byte ranges in `raw` of the forming block's smallest and largest
+    /// key so far; copied out when the block closes.
+    first_key: Range<usize>,
+    last_key: Range<usize>,
     block_records: u32,
     index: RunIndex,
+    /// Reused framing buffer for [`push`](Self::push).
+    scratch: Vec<u8>,
 }
 
 impl RunWriter {
@@ -276,41 +287,84 @@ impl RunWriter {
             raw: Vec::new(),
             packed: Vec::new(),
             compressor: lz4_flex::Compressor::new(),
-            first_key: Bytes::new(),
-            last_key: Bytes::new(),
+            first_key: 0..0,
+            last_key: 0..0,
             block_records: 0,
             index: RunIndex {
                 sorted,
                 ..RunIndex::default()
             },
+            scratch: Vec::new(),
         }
     }
 
-    /// Frames one record into the forming block, closing the block when
-    /// it reaches the budget.
+    /// Frames one record and appends it through
+    /// [`push_framed`](Self::push_framed).
+    ///
+    /// # Panics
+    ///
+    /// If the record cannot fit a block's `u32` length fields (a framed
+    /// record of 4 GiB or more); `push_framed` reports that as an error.
     pub fn push(&mut self, rec: &Record) {
+        let mut framed = std::mem::take(&mut self.scratch);
+        framed.clear();
+        ser::frame_record(&mut framed, rec);
+        self.push_framed(&framed)
+            .expect("a framed record must fit a spill block's u32 length");
+        self.scratch = framed;
+    }
+
+    /// Appends one already-framed record (`varint klen | varint vlen |
+    /// key | value`, exactly one) to the forming block by copying its
+    /// bytes, closing the block when it reaches the budget.
+    ///
+    /// Errors if `framed` is not exactly one well-formed record, or if
+    /// the block would outgrow the `u32` length fields of its index
+    /// entry — lengths are never truncated.
+    pub fn push_framed(&mut self, framed: &[u8]) -> Result<()> {
+        let (key, value, total) = ser::read_framed_kv(framed)?;
+        if total != framed.len() {
+            return Err(Error::corrupt(format!(
+                "framed record is {total} bytes, slice holds {}",
+                framed.len()
+            )));
+        }
+        let start = self.raw.len();
+        let raw_len = start
+            .checked_add(total)
+            .filter(|&n| u32::try_from(n).is_ok())
+            .ok_or_else(|| {
+                Error::InvalidState(format!(
+                    "a {total}-byte record overflows a spill block's u32 length"
+                ))
+            })?;
+        let key_at = start + total - value.len() - key.len();
+        let key = key_at..key_at + key.len();
+        self.raw.extend_from_slice(framed);
         if self.block_records == 0 {
-            self.first_key = rec.key.clone();
-            self.last_key = rec.key.clone();
+            self.first_key = key.clone();
+            self.last_key = key;
         } else {
-            if rec.key < self.first_key {
-                self.first_key = rec.key.clone();
+            if self.raw[key.clone()] < self.raw[self.first_key.clone()] {
+                self.first_key = key.clone();
             }
-            if rec.key > self.last_key {
-                self.last_key = rec.key.clone();
+            if self.raw[key.clone()] > self.raw[self.last_key.clone()] {
+                self.last_key = key;
             }
         }
-        ser::frame_record(&mut self.raw, rec);
         self.block_records += 1;
-        if self.raw.len() >= self.block_bytes {
+        if raw_len >= self.block_bytes {
             self.flush_block();
         }
+        Ok(())
     }
 
     fn flush_block(&mut self) {
         if self.block_records == 0 {
             return;
         }
+        // `push_framed` keeps the block within `u32`, and a stored block
+        // is never longer than its raw bytes.
         let raw_len = self.raw.len() as u32;
         let crc = crc32(&self.raw);
         let stored: &[u8] = if self.compress {
@@ -325,8 +379,8 @@ impl RunWriter {
             &self.raw
         };
         let meta = BlockMeta {
-            first_key: std::mem::take(&mut self.first_key),
-            last_key: std::mem::take(&mut self.last_key),
+            first_key: Bytes::copy_from_slice(&self.raw[self.first_key.clone()]),
+            last_key: Bytes::copy_from_slice(&self.raw[self.last_key.clone()]),
             offset: self.image.len() as u64,
             raw_len,
             stored_len: stored.len() as u32,
@@ -893,6 +947,52 @@ mod tests {
             w.push(r);
         }
         w.finish()
+    }
+
+    #[test]
+    fn push_framed_copies_records_and_tracks_key_bounds() {
+        // Unsorted keys, and values long enough for two-byte length
+        // varints: every block's bounds are its true min/max keys and
+        // its raw bytes are exactly the pushed framings.
+        let records: Vec<Record> = (0..200)
+            .map(|i| rec(&format!("k{:03}", (i * 37) % 101), &"v".repeat(i % 300)))
+            .collect();
+        let mut w = RunWriter::new(1024, false, false);
+        let mut framed = Vec::new();
+        for r in &records {
+            let mut one = Vec::new();
+            ser::frame_record(&mut one, r);
+            w.push_framed(&one).unwrap();
+            framed.extend_from_slice(&one);
+        }
+        let (image, index) = w.finish();
+        let mut at = 0;
+        let mut raw = Vec::new();
+        for b in &index.blocks {
+            let block = &image[b.offset as usize..(b.offset + b.stored_len as u64) as usize];
+            let block_records: Vec<Record> =
+                ser::unframe_batch(block).unwrap().into_iter().collect();
+            assert_eq!(block_records, records[at..at + b.records as usize]);
+            let keys = block_records.iter().map(|r| &r.key);
+            assert_eq!(&b.first_key, keys.clone().min().unwrap());
+            assert_eq!(&b.last_key, keys.max().unwrap());
+            raw.extend_from_slice(block);
+            at += b.records as usize;
+        }
+        assert_eq!(raw, framed);
+    }
+
+    #[test]
+    fn push_framed_takes_exactly_one_well_formed_record() {
+        let mut two = Vec::new();
+        ser::frame_record(&mut two, &rec("a", "1"));
+        ser::frame_record(&mut two, &rec("b", "2"));
+        let mut w = RunWriter::new(64, false, true);
+        assert!(w.push_framed(&two).is_err(), "two records");
+        assert!(w.push_framed(&two[..3]).is_err(), "truncated record");
+        assert!(w.push_framed(&[]).is_err(), "no record");
+        let (_, index) = w.finish();
+        assert_eq!(index.records, 0, "a rejected record leaves no trace");
     }
 
     fn sorted_records(n: usize) -> Vec<Record> {

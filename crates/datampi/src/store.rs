@@ -22,22 +22,40 @@
 //! EOFs) — exactly the Hadoop-style materialization the paper criticizes.
 //! Sorting now overlaps the O phase *and* the ingest thread itself: a
 //! run crossing the budget is handed to a background sealing thread
-//! (sorted with the configured [`SortKernel`] — MSD radix by default —
-//! and re-framed into its spill image) while ingest keeps decoding the
-//! next run; only the final in-memory run (bounded by the budget) is
+//! (sorted and copied into its spill image) while ingest keeps indexing
+//! the next run; only the final in-memory run (bounded by the budget) is
 //! sorted at merge time. Sealed images are collected in spill order, so
 //! the k-way merge's `(key, value, run)` tiebreak sees the exact run
 //! sequence a synchronous sealer would have produced.
 //!
+//! # The forming run
+//!
+//! The forming run is not a vector of decoded records. It keeps the
+//! received frame payloads themselves plus one 16-byte entry per record:
+//! a normalised 8-byte key prefix (the first 7 key bytes and the key
+//! length, order-preserving) and the record's
+//! `(payload, offset)` address. Ingest only walks each frame's varint
+//! headers. Sorting orders the entries by prefix — a stable LSD radix
+//! over the prefix bytes, or a comparison sort, the [`SortKernel`]
+//! choice — and compares full `(key, value)` bytes only inside runs of
+//! equal prefix. Sealing copies each record's framed bytes into the
+//! spill block
+//! ([`RunWriter::push_framed`](crate::spillfmt::RunWriter::push_framed));
+//! grouping reads the sorted entries in place when nothing was sealed,
+//! and otherwise merges them, as zero-copy [`Record`] views handed out
+//! one at a time, with the sealed runs. Order, spill boundaries and
+//! every [`StoreStats`] counter are those of a forming run of decoded
+//! records.
+//!
 //! [loser tree]: https://en.wikipedia.org/wiki/K-way_merge_algorithm
 use std::cmp::Ordering;
+use std::ops::Range;
 
 use bytes::Bytes;
 
 use dmpi_common::compare::{BytesComparator, RawComparator, SortKernel};
 use dmpi_common::group::GroupedValues;
-use dmpi_common::ser::SharedRecordReader;
-use dmpi_common::{Error, Record, Result};
+use dmpi_common::{ser, Error, Record, Result};
 
 use crate::observe::{HistKind, LogHistogram, Observer, PhaseTotals, SpanKind, Tracer};
 use crate::spillfmt::{KeyRange, RunReader, SpillConfig, SpillReadCounters};
@@ -50,6 +68,252 @@ const SEAL_INLINE_MAX: u64 = 64 * 1024;
 /// new spill joins the oldest one first (bounds thread count and the
 /// memory pinned by unsealed runs under heavy spill pressure).
 const MAX_INFLIGHT_SEALS: usize = 4;
+
+/// Forming runs of at most this many entries sort by comparison: the
+/// radix histograms cost more than pdqsort on a handful of entries.
+const RADIX_FALLBACK_AT: usize = 64;
+
+/// The normalised 8-byte key prefix the forming run sorts on: the first
+/// 7 key bytes, zero-padded, big-endian, then `min(key_len, 8)` as the
+/// low byte.
+///
+/// Order-preserving: `key_prefix(a) < key_prefix(b)` implies `a < b`,
+/// and equal prefixes whose low (length) byte is below 8 mean equal
+/// keys — only keys of 8 or more bytes can tie on a prefix without
+/// being equal.
+fn key_prefix(key: &[u8]) -> u64 {
+    let mut buf = [0u8; 8];
+    let n = key.len().min(7);
+    buf[..n].copy_from_slice(&key[..n]);
+    buf[7] = key.len().min(8) as u8;
+    u64::from_be_bytes(buf)
+}
+
+/// One forming-run record: its sort prefix and where its framed bytes
+/// start (payload index, byte offset).
+#[derive(Clone, Copy, Debug, Default)]
+struct Entry {
+    prefix: u64,
+    payload: u32,
+    offset: u32,
+}
+
+/// The forming run: retained frame payloads plus one [`Entry`] per
+/// record, in arrival order until [`sort`](Self::sort) orders them by
+/// `(key, value)`.
+#[derive(Default)]
+struct FormingRun {
+    payloads: Vec<Bytes>,
+    entries: Vec<Entry>,
+    /// The first record's value, a view of its payload.
+    first_value: Option<Bytes>,
+    /// Some record's value differs from `first_value`. While it does
+    /// not (a counting job's constant `1`s), records with equal keys are
+    /// identical: the tie pass skips them and grouping hands out
+    /// `first_value` without reading each record.
+    values_differ: bool,
+}
+
+impl FormingRun {
+    /// Retains one frame payload and indexes its records. Entries
+    /// indexed before a decode error stay (the payload they point into
+    /// is kept).
+    fn push_frame(&mut self, payload: Bytes) -> Result<()> {
+        let index = u32::try_from(self.payloads.len())
+            .map_err(|_| Error::InvalidState("forming run holds 2^32 frames".into()))?;
+        if u32::try_from(payload.len()).is_err() {
+            return Err(Error::InvalidState(format!(
+                "a {}-byte frame payload overflows the forming run's u32 offsets",
+                payload.len()
+            )));
+        }
+        self.payloads.push(payload);
+        let payload = &self.payloads[index as usize];
+        let mut at = 0;
+        while at < payload.len() {
+            let (key, value, n) = ser::read_framed_kv(&payload[at..])?;
+            self.entries.push(Entry {
+                prefix: key_prefix(key),
+                payload: index,
+                offset: at as u32,
+            });
+            match &self.first_value {
+                None => self.first_value = Some(payload.slice(at + n - value.len()..at + n)),
+                Some(first) => self.values_differ |= *first != value,
+            }
+            at += n;
+        }
+        Ok(())
+    }
+
+    /// The value every record carries, if they all carry the same one.
+    fn uniform_value(&self) -> Option<&Bytes> {
+        self.first_value.as_ref().filter(|_| !self.values_differ)
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The entry's whole framed record, and the key and value within it.
+    #[inline]
+    fn framed(&self, e: &Entry) -> (&[u8], &[u8], &[u8]) {
+        let buf = &self.payloads[e.payload as usize][e.offset as usize..];
+        // Fast path: both lengths are one-byte varints (keys and values
+        // under 128 bytes).
+        if let [klen @ 0..=0x7f, vlen @ 0..=0x7f, ..] = *buf {
+            let (klen, vlen) = (klen as usize, vlen as usize);
+            let rec = &buf[..2 + klen + vlen];
+            return (rec, &rec[2..2 + klen], &rec[2 + klen..]);
+        }
+        let (key, value, n) =
+            ser::read_framed_kv(buf).expect("validated when the frame was ingested");
+        (&buf[..n], key, value)
+    }
+
+    fn key_value(&self, e: &Entry) -> (&[u8], &[u8]) {
+        let (_, key, value) = self.framed(e);
+        (key, value)
+    }
+
+    /// A zero-copy [`Record`] view of the entry (slices of its payload).
+    fn record(&self, e: &Entry) -> Record {
+        let payload = &self.payloads[e.payload as usize];
+        let (key, value) = self.spans(e);
+        Record {
+            key: payload.slice(key),
+            value: payload.slice(value),
+        }
+    }
+
+    /// A zero-copy view of the entry's value.
+    fn value(&self, e: &Entry) -> Bytes {
+        self.payloads[e.payload as usize].slice(self.spans(e).1)
+    }
+
+    /// Byte ranges of the entry's key and value within its payload.
+    fn spans(&self, e: &Entry) -> (Range<usize>, Range<usize>) {
+        let (framed, key, value) = self.framed(e);
+        let value_at = e.offset as usize + framed.len() - value.len();
+        let key_at = value_at - key.len();
+        (key_at..value_at, value_at..value_at + value.len())
+    }
+
+    /// The group starting at entry `*next` of the sorted run, advancing
+    /// `*next` past it. Keys shorter than 8 bytes are equal exactly when
+    /// their prefixes are, so only longer keys compare bytes.
+    fn next_group(&self, next: &mut usize) -> Option<GroupedValues> {
+        let first = *self.entries.get(*next)?;
+        let Record { key, value } = self.record(&first);
+        let uniform = self.uniform_value();
+        let mut values = vec![value];
+        *next += 1;
+        while let Some(e) = self.entries.get(*next) {
+            if e.prefix != first.prefix || (first.prefix as u8 >= 8 && key != self.key_value(e).0) {
+                break;
+            }
+            values.push(match uniform {
+                Some(v) => v.clone(),
+                None => self.value(e),
+            });
+            *next += 1;
+        }
+        Some(GroupedValues { key, values })
+    }
+
+    /// Keeps only records whose key `keep` accepts.
+    fn retain_keys(&mut self, mut keep: impl FnMut(&[u8]) -> bool) {
+        let mut entries = std::mem::take(&mut self.entries);
+        entries.retain(|e| keep(self.key_value(e).0));
+        self.entries = entries;
+    }
+
+    /// Sorts the entries into `(key bytes, value bytes)` order — the
+    /// order [`sort_records`](dmpi_common::compare::sort_records) gives
+    /// decoded records. `kernel` picks how entries are ordered by prefix;
+    /// one shared pass then orders each run of equal prefix by full
+    /// `(key, value)` bytes, skipping a run one linear check finds
+    /// already ordered, or whose records are identical (short equal keys
+    /// and a [uniform value](Self::uniform_value)).
+    fn sort(&mut self, kernel: SortKernel) {
+        match kernel {
+            SortKernel::Comparison => self.entries.sort_unstable_by_key(arrival_key),
+            SortKernel::Radix => radix_sort_prefixes(&mut self.entries),
+        }
+        let mut entries = std::mem::take(&mut self.entries);
+        let cmp = |a: &Entry, b: &Entry| self.key_value(a).cmp(&self.key_value(b));
+        let uniform = self.uniform_value().is_some();
+        let mut lo = 0;
+        while lo < entries.len() {
+            let prefix = entries[lo].prefix;
+            let hi = lo + entries[lo..].partition_point(|e| e.prefix == prefix);
+            // A lone entry, or equal short keys sharing one value
+            // (identical records): nothing to order.
+            if hi - lo < 2 || (uniform && (prefix as u8) < 8) {
+                lo = hi;
+                continue;
+            }
+            let tie = &mut entries[lo..hi];
+            let mut prev = self.key_value(&tie[0]);
+            let ordered = tie[1..].iter().all(|e| {
+                let next = self.key_value(e);
+                std::mem::replace(&mut prev, next) <= next
+            });
+            if !ordered {
+                tie.sort_unstable_by(cmp);
+            }
+            lo = hi;
+        }
+        self.entries = entries;
+    }
+}
+
+/// Stable LSD radix sort of entries on their 8 prefix bytes, least
+/// significant first, through one scratch buffer. A byte every entry
+/// shares costs no pass. Stability keeps each run of equal prefix in
+/// arrival order, the order [`SortKernel::Comparison`] reaches through
+/// its `(prefix, payload, offset)` key.
+fn radix_sort_prefixes(entries: &mut Vec<Entry>) {
+    if entries.len() <= RADIX_FALLBACK_AT {
+        entries.sort_unstable_by_key(arrival_key);
+        return;
+    }
+    let mut counts = [[0usize; 256]; 8];
+    for e in entries.iter() {
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[(e.prefix >> (8 * byte)) as u8 as usize] += 1;
+        }
+    }
+    let mut scratch = Vec::new();
+    for (byte, count) in counts.iter().enumerate() {
+        let shift = 8 * byte;
+        if count[(entries[0].prefix >> shift) as u8 as usize] == entries.len() {
+            continue;
+        }
+        scratch.resize(entries.len(), Entry::default());
+        let mut next = [0usize; 256];
+        let mut sum = 0;
+        for (slot, c) in next.iter_mut().zip(count) {
+            *slot = sum;
+            sum += c;
+        }
+        for e in entries.iter() {
+            let slot = &mut next[(e.prefix >> shift) as u8 as usize];
+            scratch[*slot] = *e;
+            *slot += 1;
+        }
+        std::mem::swap(entries, &mut scratch);
+    }
+}
+
+/// Total order on entries: prefix, then arrival position.
+fn arrival_key(e: &Entry) -> (u64, u32, u32) {
+    (e.prefix, e.payload, e.offset)
+}
 
 /// Counters for one partition's store.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -89,9 +353,10 @@ pub struct PartitionStore {
     /// MapReduce mode: seal runs key-sorted, group by merge. Common
     /// mode: preserve arrival order, group by hash.
     sorted: bool,
-    /// The forming run: records decoded from ingested frames, in arrival
-    /// order (sorted lazily when sealed or when the merge starts).
-    current: Vec<Record>,
+    /// The forming run: the frames ingested since the last spill plus a
+    /// 16-byte prefix entry per record, in arrival order (sorted lazily
+    /// when sealed or when the merge starts).
+    current: FormingRun,
     /// Sealed runs in the indexed block format (disk files or in-memory
     /// images per `spill_cfg`), key-sorted in sorted mode. Filled by
     /// [`collect_seals`](Self::collect_seals) in spill order.
@@ -112,7 +377,8 @@ pub struct PartitionStore {
     /// store's runs hand out.
     read_counters: SpillReadCounters,
     stats: StoreStats,
-    /// Which kernel sorts runs when they seal (sorted mode only).
+    /// Which kernel orders the forming run's entries by key prefix when
+    /// it seals or merges (sorted mode only).
     kernel: SortKernel,
     /// Observability: `(observer, rank, attempt)`. Stored as the
     /// `Send + Sync` observer rather than a thread-local [`Tracer`] so
@@ -155,7 +421,7 @@ enum PendingSeal {
 /// tracer built from `observer` on the *calling* thread — valid both
 /// inline on the ingest thread and on a background sealing thread.
 fn seal_run(
-    mut records: Vec<Record>,
+    mut run: FormingRun,
     sorted: bool,
     kernel: SortKernel,
     observer: Option<&(Observer, u32, u32)>,
@@ -166,22 +432,25 @@ fn seal_run(
     let spill_start = tracer.as_ref().map(Tracer::start);
     let wall_start = tracer.as_ref().map(|_| std::time::Instant::now());
     if sorted {
-        kernel.sort(&mut records);
+        run.sort(kernel);
     }
     let mut writer = crate::spillfmt::RunWriter::new(cfg.block_bytes, cfg.compress, sorted);
-    for rec in &records {
-        writer.push(rec);
-    }
-    drop(records);
-    let (image, index) = writer.finish();
-    let run = match &cfg.dir {
-        Some(dir) => crate::spillfmt::SealedRun::to_file(
-            &image,
-            index,
-            dir.join(format!("{}-{seq}.spill", cfg.tag)),
-        ),
-        None => Ok(crate::spillfmt::SealedRun::mem(image, index)),
-    };
+    let pushed = run
+        .entries
+        .iter()
+        .try_for_each(|e| writer.push_framed(run.framed(e).0));
+    drop(run);
+    let run = pushed.and_then(|()| {
+        let (image, index) = writer.finish();
+        match &cfg.dir {
+            Some(dir) => crate::spillfmt::SealedRun::to_file(
+                &image,
+                index,
+                dir.join(format!("{}-{seq}.spill", cfg.tag)),
+            ),
+            None => Ok(crate::spillfmt::SealedRun::mem(image, index)),
+        }
+    });
     if let Some(t) = &tracer {
         if let Ok(run) = &run {
             let idx = run.index();
@@ -223,7 +492,7 @@ impl PartitionStore {
         PartitionStore {
             memory_budget,
             sorted,
-            current: Vec::new(),
+            current: FormingRun::default(),
             spilled: Vec::new(),
             sealing: Vec::new(),
             spill_cfg: SpillConfig::default(),
@@ -258,29 +527,31 @@ impl PartitionStore {
         self.observer = Some((observer, rank, attempt));
     }
 
-    /// Selects the kernel that sorts runs when they seal (sorted mode
-    /// only; both kernels produce the identical order).
+    /// Selects how the forming run's prefix entries are ordered when it
+    /// seals or merges (sorted mode only): [`SortKernel::Radix`] is a
+    /// stable LSD radix over the 8 prefix bytes,
+    /// [`SortKernel::Comparison`] a comparison sort on (prefix, arrival
+    /// position). Both leave the same entry order and share the
+    /// `(key, value)` tie pass, so they produce the identical order.
     pub fn set_sort_kernel(&mut self, kernel: SortKernel) {
         self.kernel = kernel;
     }
 
-    /// Ingests one frame payload: decodes its records into the forming
-    /// run immediately (streaming — this runs on the ingest thread,
-    /// overlapped with the O phase) and seals the run into a spill image
-    /// if the partition crossed its memory budget.
+    /// Ingests one frame payload: retains it in the forming run and
+    /// indexes its records immediately (streaming — this runs on the
+    /// ingest thread, overlapped with the O phase), then seals the run
+    /// into a spill image if the partition crossed its memory budget.
     ///
     /// A decode failure means corruption slipped past the per-frame CRC
-    /// gate; the caller reports it as a structured fault.
+    /// gate; the caller reports it as a structured fault. So does a
+    /// frame or frame count past the forming run's `u32` addressing.
     pub fn ingest(&mut self, payload: Bytes) -> Result<()> {
         self.stats.frames += 1;
         self.stats.mem_bytes += payload.len() as u64;
-        // Zero-copy decode: each record's key/value are refcounted
-        // slices of the frame payload, not fresh allocations.
-        let mut reader = SharedRecordReader::new(payload);
-        while let Some(rec) = reader.next_record()? {
-            self.current.push(rec);
-            self.stats.records += 1;
-        }
+        let before = self.current.len();
+        let indexed = self.current.push_frame(payload);
+        self.stats.records += (self.current.len() - before) as u64;
+        indexed?;
         self.stats.peak_resident_records = self
             .stats
             .peak_resident_records
@@ -309,11 +580,11 @@ impl PartitionStore {
         self.stats.mem_bytes = 0;
         let seq = self.run_seq;
         self.run_seq += 1;
-        let records = std::mem::take(&mut self.current);
+        let run = std::mem::take(&mut self.current);
         if run_bytes <= SEAL_INLINE_MAX {
             // Small run: a thread spawn costs more than the sort.
             self.sealing.push(PendingSeal::Done(seal_run(
-                records,
+                run,
                 self.sorted,
                 self.kernel,
                 self.observer.as_ref(),
@@ -347,7 +618,7 @@ impl PartitionStore {
         let cfg = self.spill_cfg.clone();
         self.sealing
             .push(PendingSeal::Thread(std::thread::spawn(move || {
-                seal_run(records, sorted, kernel, observer.as_ref(), &cfg, seq)
+                seal_run(run, sorted, kernel, observer.as_ref(), &cfg, seq)
             })));
     }
 
@@ -415,8 +686,9 @@ impl PartitionStore {
     /// Turns the filled store into a streaming group source: a loser-tree
     /// k-way merge over the sealed runs plus the final in-memory run
     /// (sorted mode), or a hash-clustering pass in arrival order (Common
-    /// mode). The sorted path holds one decoded block per run at a time;
-    /// it never rebuilds the full record set.
+    /// mode). The sorted path holds one decoded block per run at a time
+    /// and hands out the forming run's records one at a time; it never
+    /// rebuilds the full record set.
     pub fn into_group_stream(self) -> Result<GroupStream> {
         self.into_group_stream_range(None)
     }
@@ -425,8 +697,9 @@ impl PartitionStore {
     /// restricted to keys inside `range`: the merge opens every run
     /// through its footer index and *skips whole blocks* whose key range
     /// falls outside the consumer's — they are never read, checked or
-    /// decompressed. Output equals the unrestricted stream filtered to
-    /// the range.
+    /// decompressed — and the forming run drops out-of-range records
+    /// before it sorts. Output equals the unrestricted stream filtered
+    /// to the range, in both grouping modes.
     pub fn into_group_stream_range(mut self, range: Option<KeyRange>) -> Result<GroupStream> {
         self.collect_seals();
         if let Some(e) = self.seal_error.take() {
@@ -439,10 +712,16 @@ impl PartitionStore {
             .observer
             .as_ref()
             .map(|(o, _, _)| o.registry().histograms().handle(HistKind::MergeStep));
+        if let Some(r) = &range {
+            self.current.retain_keys(|key| r.contains(key));
+        }
         if self.sorted {
-            self.kernel.sort(&mut self.current);
-            if let Some(r) = &range {
-                self.current.retain(|rec| r.contains(&rec.key));
+            self.current.sort(self.kernel);
+            if self.spilled.is_empty() {
+                return Ok(GroupStream {
+                    source: GroupSource::Forming(self.current, 0),
+                    merge_hist,
+                });
             }
             let mut runs: Vec<RunCursor> = Vec::with_capacity(self.spilled.len() + 1);
             for run in &self.spilled {
@@ -473,13 +752,13 @@ impl PartitionStore {
                 }
             };
             for run in &self.spilled {
-                let mut reader = run.open(&self.read_counters, None)?;
+                let mut reader = run.open(&self.read_counters, range.clone())?;
                 while let Some(rec) = reader.next_record()? {
                     cluster(rec);
                 }
             }
-            for rec in self.current.drain(..) {
-                cluster(rec);
+            for e in &self.current.entries {
+                cluster(self.current.record(e));
             }
             Ok(GroupStream {
                 source: GroupSource::Hashed(groups.into_iter()),
@@ -509,34 +788,36 @@ impl PartitionStore {
 
 /// A lazily-decoding cursor over one sorted (or arrival-order) run.
 ///
-/// Memory runs hold already-decoded records; sealed runs stream through
-/// an index-driven [`RunReader`], so merging sealed runs costs one
-/// decoded block of memory per run (and skips blocks the reader's range
-/// rules out).
+/// The in-memory (forming) run hands out zero-copy record views of its
+/// sorted entries one at a time; sealed runs stream through an
+/// index-driven [`RunReader`], so merging sealed runs costs one decoded
+/// block of memory per run (and skips blocks the reader's range rules
+/// out).
 struct RunCursor {
-    /// Decoded records for an in-memory (forming) run.
-    mem: std::vec::IntoIter<Record>,
-    /// Block reader for a sealed run (`None` for memory runs).
-    reader: Option<RunReader>,
+    source: CursorSource,
     /// The run's current head record (`None` = exhausted).
     head: Option<Record>,
 }
 
+enum CursorSource {
+    /// The sorted forming run and the index of its next entry.
+    Mem(FormingRun, usize),
+    /// Block reader for a sealed run.
+    Sealed(RunReader),
+}
+
 impl RunCursor {
-    fn mem(records: Vec<Record>) -> Self {
-        let mut it = records.into_iter();
-        let head = it.next();
+    fn mem(run: FormingRun) -> Self {
+        let head = run.entries.first().map(|e| run.record(e));
         RunCursor {
-            mem: it,
-            reader: None,
+            source: CursorSource::Mem(run, 1),
             head,
         }
     }
 
     fn from_reader(reader: RunReader) -> Result<Self> {
         let mut cursor = RunCursor {
-            mem: Vec::new().into_iter(),
-            reader: Some(reader),
+            source: CursorSource::Sealed(reader),
             head: None,
         };
         cursor.head = cursor.decode_next()?;
@@ -544,9 +825,13 @@ impl RunCursor {
     }
 
     fn decode_next(&mut self) -> Result<Option<Record>> {
-        match &mut self.reader {
-            Some(reader) => reader.next_record(),
-            None => Ok(self.mem.next()),
+        match &mut self.source {
+            CursorSource::Sealed(reader) => reader.next_record(),
+            CursorSource::Mem(run, next) => {
+                let rec = run.entries.get(*next).map(|e| run.record(e));
+                *next += 1;
+                Ok(rec)
+            }
         }
     }
 
@@ -564,12 +849,12 @@ impl RunCursor {
     /// memory cursor still holding records — such a merge cannot be
     /// resumed from block boundaries.
     fn frontier(&self) -> Option<Option<usize>> {
-        match (&self.reader, self.head.is_some()) {
-            (Some(reader), _) => Some(Some(reader.frontier_block())),
+        match (&self.source, self.head.is_some()) {
+            (CursorSource::Sealed(reader), _) => Some(Some(reader.frontier_block())),
             // An exhausted (empty) memory cursor contributes nothing to
             // a resume — report it as skippable.
-            (None, false) => Some(None),
-            (None, true) => None,
+            (CursorSource::Mem(..), false) => Some(None),
+            (CursorSource::Mem(..), true) => None,
         }
     }
 }
@@ -705,6 +990,33 @@ impl LoserTreeMerge {
         self.tree[0] = candidate;
         Ok(Some(rec))
     }
+
+    /// Pops the smallest head record and every following record with
+    /// the same key.
+    fn next_group(&mut self) -> Result<Option<GroupedValues>> {
+        let Some(first) = self.pop()? else {
+            return Ok(None);
+        };
+        let mut group = GroupedValues {
+            key: first.key,
+            values: vec![first.value],
+        };
+        // Keep pulling while the merge head shares the key.
+        loop {
+            let same = match self.tree[0] {
+                usize::MAX => false,
+                w => matches!(&self.runs[w].head, Some(r) if r.key == group.key),
+            };
+            if !same {
+                break;
+            }
+            match self.pop()? {
+                Some(rec) => group.values.push(rec.value),
+                None => break,
+            }
+        }
+        Ok(Some(group))
+    }
 }
 
 /// A streaming source of key groups out of a drained [`PartitionStore`]:
@@ -720,6 +1032,9 @@ pub struct GroupStream {
 
 /// Where the groups come from.
 enum GroupSource {
+    /// Sorted (MapReduce) mode with nothing sealed: groups read straight
+    /// off the sorted forming run, from the given entry on.
+    Forming(FormingRun, usize),
     /// Sorted (MapReduce) mode: loser-tree external merge.
     Merge(LoserTreeMerge),
     /// Hashed (Common) mode: pre-clustered groups in first-appearance
@@ -730,37 +1045,16 @@ enum GroupSource {
 impl GroupStream {
     /// Produces the next key group, or `None` when the store is drained.
     pub fn next_group(&mut self) -> Result<Option<GroupedValues>> {
-        match &mut self.source {
-            GroupSource::Hashed(it) => Ok(it.next()),
-            GroupSource::Merge(merge) => {
-                let step_start = self.merge_hist.as_ref().map(|_| std::time::Instant::now());
-                let Some(first) = merge.pop()? else {
-                    return Ok(None);
-                };
-                let mut group = GroupedValues {
-                    key: first.key,
-                    values: vec![first.value],
-                };
-                // Keep pulling while the merge head shares the key.
-                loop {
-                    let same = match merge.tree[0] {
-                        usize::MAX => false,
-                        w => matches!(&merge.runs[w].head, Some(r) if r.key == group.key),
-                    };
-                    if !same {
-                        break;
-                    }
-                    match merge.pop()? {
-                        Some(rec) => group.values.push(rec.value),
-                        None => break,
-                    }
-                }
-                if let (Some(hist), Some(start)) = (&self.merge_hist, step_start) {
-                    hist.record_elapsed_us(start);
-                }
-                Ok(Some(group))
-            }
+        let step_start = self.merge_hist.as_ref().map(|_| std::time::Instant::now());
+        let group = match &mut self.source {
+            GroupSource::Hashed(it) => return Ok(it.next()),
+            GroupSource::Forming(run, next) => run.next_group(next),
+            GroupSource::Merge(merge) => merge.next_group()?,
+        };
+        if let (Some(hist), Some(start), Some(_)) = (&self.merge_hist, step_start, &group) {
+            hist.record_elapsed_us(start);
         }
+        Ok(group)
     }
 
     /// The merge's resume frontier: for each sealed-run cursor, the
@@ -774,8 +1068,11 @@ impl GroupStream {
     /// [`PartitionStore::seal_all`] before merging to make a stream
     /// resumable).
     pub fn frontier(&self) -> Option<Vec<usize>> {
-        let GroupSource::Merge(merge) = &self.source else {
-            return None;
+        let merge = match &self.source {
+            GroupSource::Merge(merge) => merge,
+            // A drained forming run contributes nothing to a resume.
+            GroupSource::Forming(run, next) => return (*next >= run.len()).then(Vec::new),
+            GroupSource::Hashed(_) => return None,
         };
         let mut out = Vec::new();
         for cursor in &merge.runs {
@@ -824,7 +1121,7 @@ pub fn resume_group_stream(
 mod tests {
     use super::*;
     use dmpi_common::compare::{is_sorted, sort_records};
-    use dmpi_common::{ser, RecordBatch};
+    use dmpi_common::RecordBatch;
 
     fn frame_of(records: &[Record]) -> Bytes {
         let batch: RecordBatch = records.iter().cloned().collect();
@@ -1073,6 +1370,270 @@ mod tests {
             let merged = s.into_records().unwrap();
             sort_records(&mut all, &BytesComparator);
             assert_eq!(merged, all, "runs={runs}");
+        }
+    }
+
+    #[test]
+    fn key_prefix_orders_and_identifies_keys() {
+        // Edge cases the contract must survive: padding vs real 0x00
+        // bytes, 0xFF bytes, keys that are prefixes of each other, and
+        // keys sharing 6/7/8/9 leading bytes.
+        let mut keys: Vec<Vec<u8>> = vec![
+            vec![],
+            vec![0],
+            vec![0, 0],
+            vec![0; 7],
+            vec![0; 8],
+            vec![0; 9],
+            vec![0xff],
+            vec![0xff; 7],
+            vec![0xff; 8],
+            b"a".to_vec(),
+            b"a\0".to_vec(),
+            b"a\0\0\0\0\0\0".to_vec(),
+            b"a\0\0\0\0\0\0\0".to_vec(),
+        ];
+        let base = b"qwertyuiop";
+        for shared in 6..=9 {
+            for tail in [&b""[..], b"\0", b"a", b"\xff"] {
+                keys.push([&base[..shared], tail].concat());
+            }
+        }
+        for a in &keys {
+            for b in &keys {
+                check_prefix_contract(a, b);
+            }
+        }
+    }
+
+    /// `key_prefix(a) < key_prefix(b)` implies `a < b`, and equal
+    /// prefixes with a length byte below 8 imply `a == b`.
+    fn check_prefix_contract(a: &[u8], b: &[u8]) {
+        let (pa, pb) = (key_prefix(a), key_prefix(b));
+        if pa < pb {
+            assert!(a < b, "prefix order {a:?} < {b:?} disagrees with key order");
+        }
+        if pa == pb && (pa as u8) < 8 {
+            assert_eq!(a, b, "equal short prefixes must mean equal keys");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn key_prefix_contract_holds_for_any_keys(
+            a in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..12),
+            b in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..12),
+        ) {
+            check_prefix_contract(&a, &b);
+            check_prefix_contract(&b, &a);
+        }
+    }
+
+    /// The pre-index store as a test-only reference: every frame decoded
+    /// into a `Vec<Record>` forming run that seals synchronously through
+    /// `SortKernel::sort` + `RunWriter::push`; grouping is a global
+    /// `sort_records` (sorted mode) or `group_hashed` (hashed mode) of
+    /// everything ingested.
+    struct RecordStore {
+        budget: usize,
+        sorted: bool,
+        kernel: SortKernel,
+        current: Vec<Record>,
+        all: Vec<Record>,
+        sealed_blocks: Vec<Vec<crate::spillfmt::BlockMeta>>,
+        stats: StoreStats,
+    }
+
+    impl RecordStore {
+        fn new(budget: usize, sorted: bool, kernel: SortKernel) -> Self {
+            RecordStore {
+                budget,
+                sorted,
+                kernel,
+                current: Vec::new(),
+                all: Vec::new(),
+                sealed_blocks: Vec::new(),
+                stats: StoreStats::default(),
+            }
+        }
+
+        fn ingest(&mut self, payload: &Bytes) {
+            self.stats.frames += 1;
+            self.stats.mem_bytes += payload.len() as u64;
+            let mut reader = ser::SharedRecordReader::new(payload.clone());
+            while let Some(rec) = reader.next_record().unwrap() {
+                self.current.push(rec.clone());
+                self.all.push(rec);
+                self.stats.records += 1;
+            }
+            let st = &mut self.stats;
+            st.peak_resident_records = st.peak_resident_records.max(self.current.len() as u64);
+            st.peak_mem_bytes = st.peak_mem_bytes.max(st.mem_bytes);
+            if st.mem_bytes as usize > self.budget && !self.current.is_empty() {
+                st.spilled_bytes += st.mem_bytes;
+                st.spills += 1;
+                st.mem_bytes = 0;
+                let mut run = std::mem::take(&mut self.current);
+                if self.sorted {
+                    self.kernel.sort(&mut run);
+                }
+                let cfg = SpillConfig::default();
+                let mut writer =
+                    crate::spillfmt::RunWriter::new(cfg.block_bytes, cfg.compress, self.sorted);
+                for rec in &run {
+                    writer.push(rec);
+                }
+                let (_, index) = writer.finish();
+                st.spilled_wire_bytes += index.file_len;
+                self.sealed_blocks.push(index.blocks);
+            }
+        }
+
+        fn groups(&self, range: Option<&KeyRange>) -> Vec<GroupedValues> {
+            let mut records: Vec<Record> = self
+                .all
+                .iter()
+                .filter(|r| range.is_none_or(|range| range.contains(&r.key)))
+                .cloned()
+                .collect();
+            if self.sorted {
+                sort_records(&mut records, &BytesComparator);
+                dmpi_common::group::group_sorted(records)
+            } else {
+                dmpi_common::group::group_hashed(records)
+            }
+        }
+    }
+
+    /// Seeded frames over a key pool built to stress the prefix index:
+    /// empty keys, keys with 0x00/0xFF bytes, keys that are prefixes of
+    /// each other, keys sharing 6/7/8/9 leading bytes and 1 KiB keys,
+    /// with duplicate keys carrying differing and empty values — or, when
+    /// `uniform`, every record carrying the value `1`.
+    fn seeded_frames(seed: u64, frames: usize, uniform: bool) -> Vec<Bytes> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let base = b"qwertyuiop";
+        let mut pool: Vec<Vec<u8>> = vec![
+            vec![],
+            vec![0],
+            vec![0, 0xff],
+            vec![0xff; 3],
+            vec![0xff; 9],
+            b"a".to_vec(),
+            b"ab".to_vec(),
+            b"abc".to_vec(),
+            b"abcdefg".to_vec(),
+            b"abcdefgh".to_vec(),
+            b"abcdefghi".to_vec(),
+            b"a\0".to_vec(),
+            vec![b'k'; 1024],
+            [vec![b'k'; 1023], vec![b'j']].concat(),
+        ];
+        for shared in 6..=9 {
+            for tail in [&b""[..], b"\0", b"x", b"\xff"] {
+                pool.push([&base[..shared], tail].concat());
+            }
+        }
+        let values: [&[u8]; 6] = [b"", b"1", b"2", b"\0", b"\xff\xff", b"a longer value"];
+        (0..frames)
+            .map(|_| {
+                let records: Vec<Record> = (0..rng.gen_range(1..=12usize))
+                    .map(|_| {
+                        let key = pool[rng.gen_range(0..pool.len())].clone();
+                        let value = if uniform {
+                            b"1".to_vec()
+                        } else {
+                            values[rng.gen_range(0..values.len())].to_vec()
+                        };
+                        Record::new(key, value)
+                    })
+                    .collect();
+                frame_of(&records)
+            })
+            .collect()
+    }
+
+    fn drain(mut stream: GroupStream) -> Vec<GroupedValues> {
+        let mut groups = Vec::new();
+        while let Some(g) = stream.next_group().unwrap() {
+            groups.push(g);
+        }
+        groups
+    }
+
+    #[test]
+    fn prefix_index_store_matches_the_record_store() {
+        let budgets = [1, 64, SEAL_INLINE_MAX as usize * 2, usize::MAX];
+        for (seed, uniform) in [(1u64, false), (2, true)] {
+            let frames = seeded_frames(seed, 500, uniform);
+            for kernel in [SortKernel::Radix, SortKernel::Comparison] {
+                for sorted in [true, false] {
+                    for budget in budgets {
+                        let mut reference = RecordStore::new(budget, sorted, kernel);
+                        let fill = || {
+                            let mut s = PartitionStore::new(budget, sorted);
+                            s.set_sort_kernel(kernel);
+                            for f in &frames {
+                                s.ingest(f.clone()).unwrap();
+                            }
+                            s.finish_ingest();
+                            s
+                        };
+                        for f in &frames {
+                            reference.ingest(f);
+                        }
+                        let cell = format!(
+                            "seed={seed} kernel={} sorted={sorted} budget={budget}",
+                            kernel.name()
+                        );
+                        if budget == SEAL_INLINE_MAX as usize * 2 {
+                            assert!(
+                                reference.stats.spills >= 1,
+                                "{cell}: must seal in the background"
+                            );
+                        }
+                        let ranges = [None, Some(KeyRange::new(&b"a"[..], &b"qwertyuio"[..]))];
+                        for range in ranges {
+                            let store = fill();
+                            assert_eq!(store.stats(), reference.stats, "{cell}: stats");
+                            let blocks: Vec<_> = store
+                                .spilled
+                                .iter()
+                                .map(|r| r.index().blocks.clone())
+                                .collect();
+                            assert_eq!(blocks, reference.sealed_blocks, "{cell}: sealed blocks");
+                            let got = drain(store.into_group_stream_range(range.clone()).unwrap());
+                            assert_eq!(
+                                got,
+                                reference.groups(range.as_ref()),
+                                "{cell} range={range:?}"
+                            );
+                        }
+                        if sorted {
+                            // Seal everything, stop mid-way at a recorded
+                            // frontier, and resume from the sealed runs.
+                            let mut store = fill();
+                            store.seal_all();
+                            let runs = store.sealed_run_handles();
+                            let counters = store.read_counters();
+                            let expected = reference.groups(None);
+                            let mut stream = store.into_group_stream().unwrap();
+                            let mut got = Vec::new();
+                            for _ in 0..expected.len() / 2 {
+                                got.push(stream.next_group().unwrap().unwrap());
+                            }
+                            let frontier = stream.frontier().expect("sealed merge is resumable");
+                            let last_key = got.last().map(|g| g.key.clone());
+                            got.extend(drain(
+                                resume_group_stream(&runs, &frontier, last_key, &counters, None)
+                                    .unwrap(),
+                            ));
+                            assert_eq!(got, expected, "{cell}: resumed");
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -32,6 +32,14 @@ echo "== dmpirun multi-process smoke ==" >&2
 cargo run -q --release --bin dmpirun -- \
     --ranks 4 --tasks 8 --verify-inproc wordcount
 
+echo "== dmpirun multi-process sort smoke ==" >&2
+# TextSort's keys are whole text lines, longer than the A-side store's
+# 8-byte key prefix, so lines that share their first 7 bytes are ordered
+# by the full-key tie pass (the wordcount smokes' short keys rarely need
+# it). Byte-checked against the in-proc runtime across processes and TCP.
+cargo run -q --release --bin dmpirun -- \
+    --ranks 2 --tasks 4 --verify-inproc sort
+
 echo "== dmpirun compressed-wire smoke ==" >&2
 # The same byte-identity gate with per-batch LZ4 wire compression on:
 # compression must change what crosses the sockets, never the output.
