@@ -632,7 +632,7 @@ where
     }
     stats.phase_us.merge(&ingest.phase);
     stats.attempts = 1;
-    Ok((collector.batch, stats))
+    Ok((collector.into_batch(), stats))
 }
 
 #[cfg(test)]

@@ -1177,7 +1177,7 @@ where
                     let stream_result = match &merge_resume {
                         Some(m) => ser::unframe_batch(&m.partial_output).and_then(|mut done| {
                             groups = m.groups_emitted;
-                            collector.batch.append(&mut done);
+                            collector.append(&mut done);
                             crate::store::resume_group_stream(
                                 &m.runs,
                                 &m.frontier,
@@ -1215,7 +1215,7 @@ where
                                                         Some(g.key.clone()),
                                                         groups,
                                                         Bytes::from(ser::frame_batch(
-                                                            &collector.batch,
+                                                            collector.batch(),
                                                         )),
                                                     );
                                                 }
@@ -1298,7 +1298,7 @@ where
                     t.registry().add_wire_stats(&wire);
                 }
                 group_result?;
-                Ok((collector.batch, stats))
+                Ok((collector.into_batch(), stats))
             });
             handles.push(handle);
         }

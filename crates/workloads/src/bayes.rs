@@ -71,21 +71,21 @@ pub fn corpus_to_inputs(corpus: &[LabeledDoc], docs_per_split: usize) -> Vec<Byt
 /// Map: emit `((category, word), 1)` per occurrence and a per-document
 /// marker for priors.
 pub fn count_map(_task: usize, split: &[u8], out: &mut dyn Collector) {
+    let one = 1u64.to_bytes();
+    let mut key = Vec::new();
     let mut reader = dmpi_common::ser::RecordReader::new(split);
     while let Some(rec) = reader.next_record().expect("valid bayes input") {
         let label = &rec.key;
-        let mut doc_key = Vec::with_capacity(label.len() + 1 + DOC_MARKER.len());
-        doc_key.extend_from_slice(label);
-        doc_key.push(SEP);
-        doc_key.extend_from_slice(DOC_MARKER);
-        out.collect(&doc_key, &1u64.to_bytes());
+        key.clear();
+        key.extend_from_slice(label);
+        key.push(SEP);
+        key.extend_from_slice(DOC_MARKER);
+        out.collect(&key, &one);
         for line in dmpi_datagen::text::lines(&rec.value) {
             for word in dmpi_datagen::text::words(line) {
-                let mut key = Vec::with_capacity(label.len() + 1 + word.len());
-                key.extend_from_slice(label);
-                key.push(SEP);
+                key.truncate(label.len() + 1);
                 key.extend_from_slice(word);
-                out.collect(&key, &1u64.to_bytes());
+                out.collect(&key, &one);
             }
         }
     }

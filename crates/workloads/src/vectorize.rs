@@ -94,9 +94,10 @@ impl Dictionary {
 }
 
 fn wc_map(_t: usize, split: &[u8], out: &mut dyn Collector) {
+    let one = 1u64.to_bytes();
     for line in dmpi_datagen::text::lines(split) {
         for word in dmpi_datagen::text::words(line) {
-            out.collect(word, &1u64.to_bytes());
+            out.collect(word, &one);
         }
     }
 }

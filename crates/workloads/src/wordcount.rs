@@ -17,9 +17,10 @@ use crate::calib;
 
 /// O/map function: tokenize lines, emit `(word, 1)`.
 pub fn map(_task: usize, split: &[u8], out: &mut dyn Collector) {
+    let one = 1u64.to_bytes();
     for line in dmpi_datagen::text::lines(split) {
         for word in dmpi_datagen::text::words(line) {
-            out.collect(word, &1u64.to_bytes());
+            out.collect(word, &one);
         }
     }
 }
@@ -68,8 +69,9 @@ pub fn run_spark(
     let rdd = ctx
         .text_source(inputs)
         .flat_map(|rec, out| {
+            let one = 1u64.to_bytes();
             for word in dmpi_datagen::text::words(&rec.key) {
-                out.collect(word, &1u64.to_bytes());
+                out.collect(word, &one);
             }
         })
         .reduce_by_key(8, |a, b| {

@@ -100,22 +100,29 @@ cargo run -q --release -p dmpi-bench --bin figures -- \
 
 echo "== straggler bench smoke ==" >&2
 # {slow-rank, rank-leave} x {defense off, on} grid: asserts per-cell
-# byte identity, writes BENCH_straggler.json, and fails unless defended
-# slow-rank completion is <= 0.5x the undefended time.
-cargo run -q --release -p dmpi-bench --bin figures -- straggler-bench --smoke
+# byte identity and fails unless defended slow-rank completion is
+# <= 0.5x the undefended time. The smoke artifact lands under
+# target/ci/; the committed BENCH_straggler.json baseline is
+# regenerated only by a full (non-smoke) run.
+cargo run -q --release -p dmpi-bench --bin figures -- \
+    straggler-bench --smoke --write target/ci/BENCH_straggler_smoke.json
 
 echo "== hotpath bench smoke ==" >&2
 # Runs the workload x backend x parallelism x sort-kernel grid at smoke
-# size, asserts parallel output identity in every cell, writes
-# BENCH_hotpath.json, and (on hosts with >= 4 cores) fails if WordCount
-# at --o-parallelism 4 is below 1.3x the sequential throughput.
-cargo run -q --release -p dmpi-bench --bin figures -- hotpath-bench --smoke
+# size, asserts parallel output identity in every cell, and (on hosts
+# with >= 4 cores) fails if WordCount at --o-parallelism 4 is below 1.3x
+# the sequential throughput. The smoke artifact lands under target/ci/,
+# not over the committed BENCH_hotpath.json baseline.
+cargo run -q --release -p dmpi-bench --bin figures -- \
+    hotpath-bench --smoke --write target/ci/BENCH_hotpath_smoke.json
 
 echo "== observe bench smoke ==" >&2
 # Telemetry-overhead pair: the same job bare vs under the full observer;
-# asserts byte identity, writes BENCH_observe.json, and fails if the
-# observed run costs more than 1.05x the bare wall-clock.
-cargo run -q --release -p dmpi-bench --bin figures -- observe-bench --smoke
+# asserts byte identity and fails if the observed run costs more than
+# 1.05x the bare wall-clock. The smoke artifact lands under target/ci/,
+# not over the committed BENCH_observe.json baseline.
+cargo run -q --release -p dmpi-bench --bin figures -- \
+    observe-bench --smoke --write target/ci/BENCH_observe_smoke.json
 
 echo "== resident service smoke ==" >&2
 # A 2-rank resident mesh (dmpid coordinator + self-hosted workers) must
@@ -149,8 +156,10 @@ rm -rf "$SMOKE"
 echo "== service bench smoke ==" >&2
 # Resident mesh vs one-shot launch over a seeded two-tenant open-loop
 # stream; fails unless resident p50 submit->done latency beats the
-# one-shot (real dmpirun process) launch p50. Writes BENCH_service.json.
-cargo run -q --release -p dmpi-bench --bin figures -- service-bench --smoke
+# one-shot (real dmpirun process) launch p50. The smoke artifact lands
+# under target/ci/, not over the committed BENCH_service.json baseline.
+cargo run -q --release -p dmpi-bench --bin figures -- \
+    service-bench --smoke --write target/ci/BENCH_service_smoke.json
 
 echo "== tracing overhead smoke check ==" >&2
 # Times a real WordCount with tracing on vs off; fails above +25%.

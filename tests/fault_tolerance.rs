@@ -205,6 +205,82 @@ fn merge_resumes_from_block_frontier_after_mid_merge_death() {
 }
 
 #[test]
+fn text_sort_merge_resume_snapshots_pending_collector_output() {
+    // TextSort's identity A re-emits every input line, so a rank's output
+    // outgrows the A-side collector's 1 MiB chunk. Kill the rank after
+    // the first MiB of output: every recorded boundary's snapshot must
+    // carry the records the collector still held pending, or the resumed
+    // output loses them.
+    use datampi_suite::workloads::sort;
+    let mut gen = TextGenerator::new(SeedModel::lda_wiki1w(), 23);
+    let inputs: Vec<Bytes> = (0..5)
+        .map(|_| Bytes::from(gen.generate_bytes(256 * 1024)))
+        .collect();
+    let spill_dir = std::env::temp_dir().join(format!("dmpi-sort-resume-{}", std::process::id()));
+    let cp = CheckpointStore::new();
+    let base = datampi_suite::datampi::JobConfig::new(1)
+        .with_checkpointing(true)
+        .with_sorted_grouping(true)
+        .with_memory_budget(256 * 1024)
+        .with_spill_dir(spill_dir.clone())
+        .with_spill_block_bytes(16 * 1024);
+    let clean = datampi_suite::datampi::run_job(
+        &datampi_suite::datampi::JobConfig::new(1).with_sorted_grouping(true),
+        inputs.clone(),
+        sort::text_map,
+        sort::identity_reduce,
+        None,
+    )
+    .unwrap();
+    let clean = clean.partitions[0].records();
+
+    // Die 40 groups past the group that takes the output over 1 MiB.
+    let mut groups = 0u64;
+    let mut payload = 0usize;
+    for (i, rec) in clean.iter().enumerate() {
+        if i == 0 || clean[i - 1].key != rec.key {
+            groups += 1;
+        }
+        payload += rec.payload_len();
+        if payload > 1 << 20 {
+            break;
+        }
+    }
+    let die_after = groups + 40;
+    let failing = base
+        .clone()
+        .with_faults(datampi_suite::datampi::FaultPlan::new(7).merge_panic(0, 0, die_after));
+    datampi_suite::datampi::runtime::run_job_attempt(
+        &failing,
+        inputs.clone(),
+        sort::text_map,
+        sort::identity_reduce,
+        Some(&cp),
+        0,
+    )
+    .unwrap_err();
+    let mcp = cp.merge_checkpoint(0, 1).expect("merge frontier recorded");
+    assert_eq!(mcp.groups_emitted, die_after / 32 * 32);
+    let partial = datampi_suite::common::ser::unframe_batch(&mcp.partial_output).unwrap();
+    assert!(partial.payload_bytes() > 1 << 20, "snapshot spans a chunk");
+    assert_eq!(partial.records(), &clean[..partial.len()]);
+    drop(mcp);
+
+    let out = datampi_suite::datampi::runtime::run_job_attempt(
+        &base,
+        inputs,
+        sort::text_map,
+        sort::identity_reduce,
+        Some(&cp),
+        1,
+    )
+    .unwrap();
+    assert_eq!(out.stats.o_tasks_run, 0);
+    assert_eq!(out.partitions[0].records(), clean);
+    let _ = std::fs::remove_dir_all(&spill_dir);
+}
+
+#[test]
 fn rdd_lineage_recovers_lost_partitions() {
     let ctx = datampi_suite::rddsim::SparkContext::new(datampi_suite::rddsim::SparkConfig::new(4))
         .unwrap();
